@@ -3,11 +3,13 @@
 //!
 //! Times the register-blocked complex kernels of `accqoc-linalg` against
 //! the verbatim pre-blocking loops (kept as `kernels::reference`), plus
-//! the two compound operations the serving stack spends its time in —
-//! `expm_i_hermitian` and a full spectral `cost_and_gradient_into`
-//! pass — across dimensions 2/4/8/16. Both sides of each pair run under
-//! the same median-of-K sampler, so the reported speedups compare like
-//! with like.
+//! the compound operations the serving stack spends its time in —
+//! `expm_i_hermitian`, the Jacobi eigensolve cold (`eigh`) and seeded
+//! from a nearby eigenbasis (`eigh_seeded`, the GRAPE inner-loop case,
+//! with Jacobi sweeps per solve beside the time), and a full spectral
+//! `cost_and_gradient_into` pass — across dimensions 2/4/8/16. Both
+//! sides of each pair run under the same median-of-K sampler, so the
+//! reported speedups compare like with like.
 //!
 //! Modes:
 //!
@@ -16,16 +18,21 @@
 //!   `BENCH_grape.json`. Honors `ACCQOC_FAST=1` (fewer samples).
 //! - `--check`: first prove bit-identity — every blocked kernel against
 //!   its reference over all dimensions 1–17 (covering every
-//!   non-multiple-of-tile remainder), exact on all bytes — then gate on
-//!   raw speed: the blocked dim-8 matmul must beat the naive loop by at
-//!   least [`CHECK_MIN_SPEEDUP`]× on median time. Exits non-zero on any
+//!   non-multiple-of-tile remainder), exact on all bytes — and the
+//!   seeded eigensolve's accuracy over the same dimensions: it must
+//!   reconstruct `H` within [`SEEDED_TOL`] and match the cold solve's
+//!   eigenvalues within [`SEEDED_TOL`]. Then gate on raw speed: the
+//!   blocked dim-8 matmul must beat the naive loop by at least
+//!   [`CHECK_MIN_SPEEDUP`]× on median time. Exits non-zero on any
 //!   failure. The CI `grape-bench` gate.
 
 use accqoc::json::JsonValue;
 use accqoc_bench::{fast_mode, print_table, write_csv};
 use accqoc_grape::{cost_and_gradient_into, GradientMethod, Workspace};
 use accqoc_hw::ControlModel;
-use accqoc_linalg::{expm_i_hermitian, kernels, Mat, C64};
+use accqoc_linalg::{
+    eigh, eigh_into, eigh_seeded_into, expm_i_hermitian, kernels, EigH, EighWorkspace, Mat, C64,
+};
 use criterion::{black_box, Sampler};
 
 /// Pinned CI threshold: blocked dim-8 matmul speedup over the naive
@@ -44,16 +51,34 @@ const CHECK_DIMS: std::ops::RangeInclusive<usize> = 1..=17;
 /// GRAPE slices of the cost-and-gradient pass.
 const COST_STEPS: usize = 8;
 
-const HEADER: [&str; 5] = ["kernel", "dim", "blocked_ns", "naive_ns", "speedup"];
+/// Size of the Hamiltonian move between the seed basis and the solved
+/// matrix in the `eigh_seeded` rows: one GRAPE step moves a slice
+/// Hamiltonian by about this fraction of a control term.
+const SEED_PERTURBATION: f64 = 1e-3;
+
+/// `--check` tolerance of the seeded eigensolve: reconstruction of `H`
+/// and agreement with the cold eigenvalues, max-abs.
+const SEEDED_TOL: f64 = 1e-12;
+
+const HEADER: [&str; 6] = [
+    "kernel",
+    "dim",
+    "blocked_ns",
+    "naive_ns",
+    "speedup",
+    "sweeps",
+];
 
 /// One (kernel, dim) measurement. `naive_ns` is `None` for compound
-/// operations that have no preserved naive twin (`expm_i`,
-/// `cost_and_gradient`).
+/// operations that have no preserved naive twin (`expm_i`, `eigh`,
+/// `cost_and_gradient`); `sweeps` is the Jacobi sweep count per solve of
+/// the eigensolver rows.
 struct Row {
     kernel: &'static str,
     dim: usize,
     blocked_ns: f64,
     naive_ns: Option<f64>,
+    sweeps: Option<usize>,
 }
 
 impl Row {
@@ -70,6 +95,7 @@ impl Row {
                 .map_or_else(|| "-".into(), |n| format!("{n:.1}")),
             self.speedup()
                 .map_or_else(|| "-".into(), |s| format!("{s:.2}")),
+            self.sweeps.map_or_else(|| "-".into(), |s| s.to_string()),
         ]
     }
 
@@ -84,6 +110,9 @@ impl Row {
         }
         if let Some(s) = self.speedup() {
             fields.push(("speedup".into(), JsonValue::Number(s)));
+        }
+        if let Some(s) = self.sweeps {
+            fields.push(("sweeps_per_solve".into(), JsonValue::Number(s as f64)));
         }
         JsonValue::Object(fields)
     }
@@ -165,6 +194,7 @@ fn measure_dim(n: usize) -> Vec<Row> {
         dim: n,
         blocked_ns: blocked,
         naive_ns: Some(naive),
+        sweeps: None,
     });
 
     let (blocked, naive) = time_pair(
@@ -177,6 +207,7 @@ fn measure_dim(n: usize) -> Vec<Row> {
         dim: n,
         blocked_ns: blocked,
         naive_ns: Some(naive),
+        sweeps: None,
     });
 
     let (blocked, naive) = time_pair(
@@ -189,6 +220,7 @@ fn measure_dim(n: usize) -> Vec<Row> {
         dim: n,
         blocked_ns: blocked,
         naive_ns: Some(naive),
+        sweeps: None,
     });
 
     let (blocked, naive) = time_pair(
@@ -201,6 +233,7 @@ fn measure_dim(n: usize) -> Vec<Row> {
         dim: n,
         blocked_ns: blocked,
         naive_ns: Some(naive),
+        sweeps: None,
     });
 
     let h = hermitian(n, 43 + n as u64);
@@ -212,9 +245,69 @@ fn measure_dim(n: usize) -> Vec<Row> {
         dim: n,
         blocked_ns: expm_ns,
         naive_ns: None,
+        sweeps: None,
     });
 
+    rows.extend(measure_eigh(n));
     rows
+}
+
+/// A Hermitian matrix and the eigenbasis of a nearby one: the seed a
+/// GRAPE evaluation hands its slice eigensolve.
+fn seeded_case(n: usize) -> (Mat, Mat) {
+    let h = hermitian(n, 43 + n as u64);
+    let nearby = &h + &hermitian(n, 61 + n as u64).scale_re(SEED_PERTURBATION);
+    let seed = eigh(&nearby).expect("hermitian input").vectors;
+    (h, seed)
+}
+
+/// Cold and seeded eigensolves of the same matrix on warm buffers. The
+/// seeded timing includes restoring the seed basis (an `n²` copy) before
+/// every solve.
+fn measure_eigh(n: usize) -> [Row; 2] {
+    let (h, seed) = seeded_case(n);
+    let mut ws = EighWorkspace::new();
+    let mut out = EigH {
+        values: Vec::new(),
+        vectors: Mat::zeros(0, 0),
+    };
+
+    eigh_into(&h, &mut out, &mut ws).expect("hermitian input");
+    let cold_sweeps = ws.sweeps();
+    let cold_ns = sampler()
+        .measure(|| {
+            eigh_into(&h, &mut out, &mut ws).expect("hermitian input");
+            black_box(out.values[0])
+        })
+        .median_ns;
+
+    out.vectors.copy_from(&seed);
+    eigh_seeded_into(&h, &mut out, &mut ws).expect("hermitian input");
+    let seeded_sweeps = ws.sweeps();
+    let seeded_ns = sampler()
+        .measure(|| {
+            out.vectors.copy_from(&seed);
+            eigh_seeded_into(&h, &mut out, &mut ws).expect("hermitian input");
+            black_box(out.values[0])
+        })
+        .median_ns;
+
+    [
+        Row {
+            kernel: "eigh",
+            dim: n,
+            blocked_ns: cold_ns,
+            naive_ns: None,
+            sweeps: Some(cold_sweeps),
+        },
+        Row {
+            kernel: "eigh_seeded",
+            dim: n,
+            blocked_ns: seeded_ns,
+            naive_ns: None,
+            sweeps: Some(seeded_sweeps),
+        },
+    ]
 }
 
 /// A full spectral cost-and-gradient pass on the spin chain whose
@@ -258,6 +351,7 @@ fn measure_cost_grad(qubits: usize) -> Row {
         dim,
         blocked_ns: ns,
         naive_ns: None,
+        sweeps: None,
     }
 }
 
@@ -352,12 +446,49 @@ fn check_bit_identity() -> usize {
     failures
 }
 
+/// Accuracy of the seeded eigensolve over all check dimensions: `H`
+/// reconstructed from the seeded eigenpairs, and the eigenvalues against
+/// the cold solve's.
+fn check_seeded_eigh() -> usize {
+    let mut failures = 0usize;
+    for n in CHECK_DIMS {
+        let (h, seed) = seeded_case(n);
+        let mut ws = EighWorkspace::new();
+        let cold = eigh(&h).expect("hermitian input");
+        let mut out = EigH {
+            values: Vec::new(),
+            vectors: seed,
+        };
+        eigh_seeded_into(&h, &mut out, &mut ws).expect("hermitian input");
+        let mut scaled = out.vectors.clone();
+        for j in 0..n {
+            for i in 0..n {
+                scaled[(i, j)] = scaled[(i, j)].scale(out.values[j]);
+            }
+        }
+        let recon = scaled.matmul(&out.vectors.dagger()).max_abs_diff(&h);
+        let values = out
+            .values
+            .iter()
+            .zip(&cold.values)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0, f64::max);
+        if !(recon <= SEEDED_TOL && values <= SEEDED_TOL) {
+            eprintln!(
+                "FAIL: seeded eigh dim {n}: reconstruction {recon:.2e}, eigenvalues {values:.2e} (tolerance {SEEDED_TOL:.0e})"
+            );
+            failures += 1;
+        }
+    }
+    failures
+}
+
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
     println!("GRAPE kernel microbenchmarks — blocked vs naive reference\n");
 
     if check {
-        let failures = check_bit_identity();
+        let mut failures = check_bit_identity();
         if failures == 0 {
             println!(
                 "bit-identity: all kernels match their reference over dims {}-{}",
@@ -365,6 +496,15 @@ fn main() {
                 CHECK_DIMS.end()
             );
         }
+        let seeded_failures = check_seeded_eigh();
+        if seeded_failures == 0 {
+            println!(
+                "seeded eigh: reconstruction and cold eigenvalues within {SEEDED_TOL:.0e} over dims {}-{}",
+                CHECK_DIMS.start(),
+                CHECK_DIMS.end()
+            );
+        }
+        failures += seeded_failures;
 
         let rows = measure_all();
         write_outputs(&rows);
@@ -389,7 +529,7 @@ fn main() {
             std::process::exit(1);
         }
         println!(
-            "\nOK: bit-identical over dims {}-{}, dim-8 matmul {speedup:.2}x >= {CHECK_MIN_SPEEDUP}x",
+            "\nOK: bit-identical and seeded eigh accurate over dims {}-{}, dim-8 matmul {speedup:.2}x >= {CHECK_MIN_SPEEDUP}x",
             CHECK_DIMS.start(),
             CHECK_DIMS.end()
         );

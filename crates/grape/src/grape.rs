@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use accqoc_hw::ControlModel;
-use accqoc_linalg::{eigh_into, expm_frechet, expm_i, Mat, C64, ZERO};
+use accqoc_linalg::{eigh_into, eigh_seeded_into, expm_frechet, expm_i, EigH, Mat, C64, ZERO};
 
 use crate::optimizer::{OptimizerKind, StopCriteria};
 use crate::propagate::{backward_states_into, forward_states_into};
@@ -163,6 +163,12 @@ pub fn solve(problem: &GrapeProblem<'_>) -> GrapeOutcome {
 
 /// Runs GRAPE on a problem, reusing the caller's scratch buffers.
 ///
+/// On the spectral gradient path every objective evaluation after the
+/// first seeds its per-slice eigensolves from the previous evaluation's
+/// eigenbases (see [`Workspace`]). The seeds are scoped to this call, so
+/// the outcome depends only on `problem`, never on what `ws` was used
+/// for before.
+///
 /// # Panics
 ///
 /// Panics if the target dimension disagrees with the model.
@@ -190,6 +196,7 @@ pub fn solve_with(problem: &GrapeProblem<'_>, ws: &mut Workspace) -> GrapeOutcom
     }
 
     let x0 = initial_params(problem, n_ctrl, n_steps, dt);
+    let mut scope = SolveScope::new(ws);
 
     let mut evals = 0usize;
     let smoothness = problem.options.smoothness_weight;
@@ -199,13 +206,12 @@ pub fn solve_with(problem: &GrapeProblem<'_>, ws: &mut Workspace) -> GrapeOutcom
         // state owns its gradients, so this allocation is part of its
         // API. Everything below it reuses workspace buffers.
         let mut grad = Vec::with_capacity(n_ctrl * n_steps);
-        let mut cost = cost_and_gradient_into(
+        let mut cost = scope.cost_and_gradient_into(
             model,
             problem.target,
             params,
             n_steps,
             problem.options.gradient,
-            ws,
             &mut grad,
         );
         if smoothness > 0.0 {
@@ -310,6 +316,12 @@ fn cost_and_gradient(
 /// like [`Pulse::to_params`]). Returns the phase-invariant infidelity
 /// `1 − |Tr(U_T†·X_N)|²/d²`.
 ///
+/// This entry point is stateless: every eigensolve is cold, so the result
+/// depends only on the arguments, bit for bit. Only the evaluations
+/// inside [`solve_with`] seed their eigensolves from the previous
+/// evaluation, and that basis lives only as long as the solve (see
+/// [`Workspace`]).
+///
 /// # Panics
 ///
 /// Panics if `target` disagrees with the model dimension or `params` is
@@ -324,6 +336,88 @@ pub fn cost_and_gradient_into(
     ws: &mut Workspace,
     grad: &mut Vec<f64>,
 ) -> f64 {
+    evaluate(model, target, params, n_steps, method, false, ws, grad)
+}
+
+/// The objective evaluations of one solve: a borrow of a [`Workspace`]
+/// whose spectral eigensolves seed from the previous evaluation made
+/// through the same scope.
+///
+/// [`solve_with`] runs its whole optimizer loop in one scope. Opening a
+/// scope discards any eigenbasis an earlier scope left in the workspace,
+/// so the first evaluation is cold and a scope's results depend only on
+/// the sequence of arguments it is given, never on the workspace's
+/// history. Seeded and cold evaluations agree to rounding (the
+/// eigenbasis enters the spectral gradient only up to gauge), but not
+/// bit for bit.
+///
+/// # Examples
+///
+/// ```
+/// use accqoc_grape::{cost_and_gradient_into, GradientMethod, SolveScope, Workspace};
+/// use accqoc_hw::ControlModel;
+/// use accqoc_linalg::Mat;
+///
+/// let model = ControlModel::spin_chain(1);
+/// let x = Mat::from_reals(&[0.0, 1.0, 1.0, 0.0]);
+/// let mut params = vec![0.3; 2 * 6];
+/// let (mut ws, mut cold_ws) = (Workspace::new(), Workspace::new());
+/// let mut scope = SolveScope::new(&mut ws);
+/// let (mut g, mut g_cold) = (Vec::new(), Vec::new());
+/// for step in 0..3 {
+///     params[0] += 1e-3 * step as f64;
+///     let warm = scope.cost_and_gradient_into(&model, &x, &params, 6, GradientMethod::Spectral, &mut g);
+///     let cold = cost_and_gradient_into(&model, &x, &params, 6, GradientMethod::Spectral, &mut cold_ws, &mut g_cold);
+///     assert!((warm - cold).abs() < 1e-12);
+/// }
+/// ```
+#[derive(Debug)]
+pub struct SolveScope<'a> {
+    ws: &'a mut Workspace,
+}
+
+impl<'a> SolveScope<'a> {
+    /// Opens a scope on `ws`, invalidating any eigenbasis it holds.
+    pub fn new(ws: &'a mut Workspace) -> Self {
+        ws.eigs_seedable = false;
+        Self { ws }
+    }
+
+    /// [`cost_and_gradient_into`], with the spectral eigensolves seeded
+    /// from this scope's previous spectral evaluation when there is one.
+    /// No allocation once the workspace and `grad` are warm.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`cost_and_gradient_into`].
+    pub fn cost_and_gradient_into(
+        &mut self,
+        model: &ControlModel,
+        target: &Mat,
+        params: &[f64],
+        n_steps: usize,
+        method: GradientMethod,
+        grad: &mut Vec<f64>,
+    ) -> f64 {
+        evaluate(model, target, params, n_steps, method, true, self.ws, grad)
+    }
+}
+
+/// The cost-and-gradient evaluation behind both entry points. With
+/// `warm` set, the spectral eigensolves are seeded from `ws.eigs` when
+/// `ws.eigs_seedable` says they hold the enclosing scope's previous
+/// evaluation, and the flag is raised afterwards.
+#[allow(clippy::too_many_arguments)]
+fn evaluate(
+    model: &ControlModel,
+    target: &Mat,
+    params: &[f64],
+    n_steps: usize,
+    method: GradientMethod,
+    warm: bool,
+    ws: &mut Workspace,
+    grad: &mut Vec<f64>,
+) -> f64 {
     let dim = model.dim();
     let d = dim as f64;
     let n_ctrl = model.n_controls();
@@ -332,16 +426,27 @@ pub fn cost_and_gradient_into(
 
     // Step propagators. For the spectral method the eigendecompositions
     // double as the propagators; the other methods exponentiate directly.
+    let seeded = warm && ws.eigs_seedable;
     for k in 0..n_steps {
         ws.load_amps(params, n_steps, k);
         model.hamiltonian_into(&ws.amps, &mut ws.h);
         if method == GradientMethod::Spectral {
-            eigh_into(&ws.h, &mut ws.eigs[k], &mut ws.eig_ws)
-                .expect("control hamiltonians are hermitian");
-            spectral_propagator_into(&ws.eigs[k], dt, &mut ws.tmp, &mut ws.step_us[k]);
+            let eig = &mut ws.eigs[k];
+            if seeded {
+                eigh_seeded_into(&ws.h, eig, &mut ws.eig_ws)
+            } else {
+                eigh_into(&ws.h, eig, &mut ws.eig_ws)
+            }
+            .expect("control hamiltonians are hermitian");
+            let phases = &mut ws.phases[k * dim..(k + 1) * dim];
+            slice_phases_into(&eig.values, dt, phases);
+            spectral_propagator_into(eig, phases, &mut ws.tmp, &mut ws.step_us[k]);
         } else {
             ws.step_us[k] = expm_i(&ws.h, dt).expect("hermitian hamiltonian exponentiates");
         }
+    }
+    if warm && method == GradientMethod::Spectral {
+        ws.eigs_seedable = true;
     }
     forward_states_into(ws, dim, n_steps);
     backward_states_into(ws, target, n_steps);
@@ -365,7 +470,8 @@ pub fn cost_and_gradient_into(
                 // out of the evaluation — only its storage is (ws-owned).
                 ws.fwd[k].matmul_into(&ws.bwd[k + 1], &mut ws.m);
                 eig.vectors.rotate_into(&ws.m, &mut ws.tmp, &mut ws.mt);
-                krein_weights_into(&eig.values, dt, &mut ws.w);
+                let phases = &ws.phases[k * dim..(k + 1) * dim];
+                krein_weights_into(&eig.values, phases, dt, &mut ws.w);
                 for (j, ch) in model.channels().iter().enumerate() {
                     eig.vectors
                         .rotate_into(&ch.hamiltonian, &mut ws.tmp, &mut ws.hj_tilde);
@@ -416,26 +522,37 @@ pub fn cost_and_gradient_into(
     cost
 }
 
-/// Propagator `V·diag(e^{−iλΔt})·V†` from an eigendecomposition.
-pub(crate) fn spectral_propagator(eig: &accqoc_linalg::EigH, dt: f64) -> Mat {
-    let mut scratch = Mat::zeros(0, 0);
-    let mut out = Mat::zeros(0, 0);
-    spectral_propagator_into(eig, dt, &mut scratch, &mut out);
+/// Slice phases `e^{−iΔtλ_a}`, computed once per slice and shared by
+/// [`spectral_propagator_into`] and [`krein_weights_into`].
+fn slice_phases_into(values: &[f64], dt: f64, out: &mut [C64]) {
+    for (p, &l) in out.iter_mut().zip(values) {
+        *p = C64::cis(-dt * l);
+    }
+}
+
+/// Allocating [`slice_phases_into`].
+fn slice_phases(values: &[f64], dt: f64) -> Vec<C64> {
+    let mut out = vec![ZERO; values.len()];
+    slice_phases_into(values, dt, &mut out);
     out
 }
 
-/// [`spectral_propagator`] written into `out` via a caller-owned phase
-/// scratch (no allocation once the buffers are warm).
-pub(crate) fn spectral_propagator_into(
-    eig: &accqoc_linalg::EigH,
-    dt: f64,
-    scratch: &mut Mat,
-    out: &mut Mat,
-) {
+/// Propagator `V·diag(e^{−iλΔt})·V†` from an eigendecomposition.
+pub(crate) fn spectral_propagator(eig: &EigH, dt: f64) -> Mat {
+    let mut scratch = Mat::zeros(0, 0);
+    let mut out = Mat::zeros(0, 0);
+    let phases = slice_phases(&eig.values, dt);
+    spectral_propagator_into(eig, &phases, &mut scratch, &mut out);
+    out
+}
+
+/// [`spectral_propagator`] from precomputed slice phases, written into
+/// `out` via a caller-owned scratch (no allocation once the buffers are
+/// warm).
+fn spectral_propagator_into(eig: &EigH, phases: &[C64], scratch: &mut Mat, out: &mut Mat) {
     let dim = eig.values.len();
     scratch.copy_from(&eig.vectors);
-    for j in 0..dim {
-        let phase = C64::cis(-dt * eig.values[j]);
+    for (j, &phase) in phases.iter().enumerate() {
         for i in 0..dim {
             scratch[(i, j)] *= phase;
         }
@@ -449,21 +566,22 @@ pub(crate) fn spectral_propagator_into(
 /// limit `−iΔt·e^{−iΔtλ_a}` on (near-)degenerate pairs.
 pub(crate) fn krein_weights(values: &[f64], dt: f64) -> Mat {
     let mut out = Mat::zeros(0, 0);
-    krein_weights_into(values, dt, &mut out);
+    krein_weights_into(values, &slice_phases(values, dt), dt, &mut out);
     out
 }
 
-/// [`krein_weights`] written into `out`, reusing its storage.
-pub(crate) fn krein_weights_into(values: &[f64], dt: f64, out: &mut Mat) {
+/// [`krein_weights`] from precomputed slice phases, written into `out`,
+/// reusing its storage.
+fn krein_weights_into(values: &[f64], phases: &[C64], dt: f64, out: &mut Mat) {
     let dim = values.len();
     out.reshape_zeros(dim, dim);
     for a in 0..dim {
         for b in 0..dim {
             let (la, lb) = (values[a], values[b]);
             out[(a, b)] = if (la - lb).abs() < 1e-9 {
-                C64::imag(-dt) * C64::cis(-dt * la)
+                C64::imag(-dt) * phases[a]
             } else {
-                (C64::cis(-dt * la) - C64::cis(-dt * lb)) / C64::real(la - lb)
+                (phases[a] - phases[b]) / C64::real(la - lb)
             };
         }
     }

@@ -45,7 +45,7 @@ pub use binary_search::{
 };
 pub use grape::{
     cost_and_gradient_into, infidelity, solve, solve_with, GradientMethod, GrapeOptions,
-    GrapeOutcome, GrapeProblem, InitStrategy,
+    GrapeOutcome, GrapeProblem, InitStrategy, SolveScope,
 };
 pub use optimizer::{Adam, Lbfgs, Momentum, OptimResult, Optimizer, OptimizerKind, StopCriteria};
 pub use propagate::{

@@ -14,14 +14,31 @@
 //! The convenience wrappers [`solve`](crate::solve) and
 //! [`find_minimal_latency`](crate::find_minimal_latency) create a
 //! throwaway workspace internally and produce bit-identical results.
+//!
+//! The workspace also carries one piece of state *within* a solve: the
+//! per-slice eigenbases of the previous objective evaluation, which seed
+//! the next evaluation's eigensolves. That state never outlives the
+//! solve (see [`Workspace`]).
 
-use accqoc_linalg::{EigH, EighWorkspace, Mat};
+use accqoc_linalg::{EigH, EighWorkspace, Mat, C64, ZERO};
 
 /// Per-thread scratch space for GRAPE objective evaluations.
 ///
 /// All buffers are resized on demand, so one workspace serves problems of
 /// any dimension and slice count; reuse across solves only skips the
 /// allocations, never changes a result.
+///
+/// **Eigenbasis scope.** Inside one [`solve_with`](crate::solve_with),
+/// each spectral objective evaluation seeds slice `k`'s eigensolve from
+/// the eigenbasis that slice had at the previous evaluation (held in the
+/// per-slice eigendecomposition buffers), which cuts the Jacobi sweeps
+/// roughly in half. A flag marks those bases valid. Every solve opens a
+/// fresh [`SolveScope`](crate::SolveScope), which clears the flag, so the
+/// first evaluation of every solve is a cold eigensolve. A solve's output
+/// therefore depends only on its inputs: neither an earlier solve on the
+/// same workspace nor the thread that runs it can change a result. The
+/// public [`cost_and_gradient_into`](crate::cost_and_gradient_into)
+/// never reads or sets the flag; it always solves cold.
 ///
 /// # Examples
 ///
@@ -52,6 +69,13 @@ pub struct Workspace {
     pub(crate) eigs: Vec<EigH>,
     /// Eigensolver scratch (Jacobi working copy + sort permutation).
     pub(crate) eig_ws: EighWorkspace,
+    /// Whether `eigs[..n_steps]` hold this solve's previous evaluation,
+    /// so the next evaluation may seed its eigensolves from them.
+    /// Cleared whenever a `SolveScope` opens.
+    pub(crate) eigs_seedable: bool,
+    /// Slice phases `e^{−iΔtλ_a}`, `dim` per slice (slice-major), shared
+    /// by the propagator and the Daleckii–Krein weights.
+    pub(crate) phases: Vec<C64>,
     /// Per-slice control amplitudes.
     pub(crate) amps: Vec<f64>,
     /// Slice Hamiltonian.
@@ -77,6 +101,8 @@ impl Workspace {
             bwd: Vec::new(),
             eigs: Vec::new(),
             eig_ws: EighWorkspace::new(),
+            eigs_seedable: false,
+            phases: Vec::new(),
             amps: Vec::new(),
             h: Mat::zeros(0, 0),
             m: Mat::zeros(0, 0),
@@ -100,6 +126,9 @@ impl Workspace {
         }
         if self.bwd.len() < n_steps + 1 {
             self.bwd.resize_with(n_steps + 1, || Mat::zeros(dim, dim));
+        }
+        if self.phases.len() < n_steps * dim {
+            self.phases.resize(n_steps * dim, ZERO);
         }
         if self.eigs.len() < n_steps {
             self.eigs.resize_with(n_steps, || EigH {

@@ -1,11 +1,31 @@
 //! Eigendecomposition of complex Hermitian matrices via the cyclic Jacobi
 //! method.
 //!
-//! Hermitian eigensolves back three things in this workspace:
-//! spectral matrix functions ([`crate::sqrtm::sqrtm_psd`],
-//! [`funm_hermitian`]), the Uhlmann-fidelity similarity metric (`d₄` in the
-//! paper), and cross-checks of the Padé [`crate::expm`] on Hermitian input.
-//! Matrices are ≤ 32×32, where Jacobi is simple, robust, and plenty fast.
+//! The main consumer is GRAPE's spectral (Daleckii–Krein) gradient: every
+//! objective evaluation diagonalizes one slice Hamiltonian per time slice,
+//! and the eigenpairs double as the slice propagators. Two entry points
+//! serve it:
+//!
+//! - [`eigh_into`] — the cold solve. Jacobi starts from the identity
+//!   basis and sweeps until the off-diagonal mass falls below
+//!   `1e-14·scale`.
+//! - [`eigh_seeded_into`] — the warm solve. It takes the eigenvectors
+//!   already held in the output as a starting basis `B`, diagonalizes the
+//!   nearly diagonal `B†·A·B` with the same sweeps and tolerance, and
+//!   returns `B·V_jacobi`. Between consecutive optimizer evaluations a
+//!   slice Hamiltonian moves only slightly, so one or two sweeps replace
+//!   a cold run. A seed of the wrong shape, or a seeded run that fails to
+//!   converge, falls back to the cold solve.
+//!
+//! The seeded basis differs from the cold one only by rounding and by the
+//! gauge (column phases and the basis inside degenerate eigenspaces),
+//! which the spectral gradient does not depend on.
+//!
+//! Smaller consumers: spectral matrix functions
+//! ([`crate::sqrtm::sqrtm_psd`], [`funm_hermitian`]), the
+//! Uhlmann-fidelity similarity metric (`d₄` in the paper), and
+//! cross-checks of the Padé [`crate::expm`] on Hermitian input. Matrices
+//! are ≤ 32×32, where Jacobi is simple, robust, and plenty fast.
 
 use crate::complex::{C64, ZERO};
 use crate::mat::Mat;
@@ -23,8 +43,9 @@ pub struct EigH {
 /// Maximum number of Jacobi sweeps before giving up.
 const MAX_SWEEPS: usize = 60;
 
-/// Reusable scratch for [`eigh_into`]: the Jacobi working copy, the
-/// accumulated rotations, and the sort permutation.
+/// Reusable scratch for [`eigh_into`] and [`eigh_seeded_into`]: the
+/// Jacobi working copy, the accumulated rotations, the sort permutation,
+/// and the sweep count of the last solve.
 ///
 /// One workspace serves problems of any dimension; reuse only skips
 /// allocations, never changes a result. The GRAPE spectral-gradient path
@@ -36,10 +57,14 @@ pub struct EighWorkspace {
     m: Mat,
     /// Accumulated eigenvector rotations.
     v: Mat,
+    /// Product scratch (seeded solves only).
+    scratch: Mat,
     /// Eigenvalue sort permutation.
     idx: Vec<usize>,
     /// Unsorted diagonal eigenvalues.
     vals: Vec<f64>,
+    /// Jacobi sweeps performed by the last solve.
+    sweeps: usize,
 }
 
 impl EighWorkspace {
@@ -48,9 +73,18 @@ impl EighWorkspace {
         Self {
             m: Mat::zeros(0, 0),
             v: Mat::zeros(0, 0),
+            scratch: Mat::zeros(0, 0),
             idx: Vec::new(),
             vals: Vec::new(),
+            sweeps: 0,
         }
+    }
+
+    /// Jacobi sweeps performed by the last successful solve through this
+    /// workspace, counting the sweeps of a cold fallback after a seeded
+    /// attempt that did not converge.
+    pub fn sweeps(&self) -> usize {
+        self.sweeps
     }
 }
 
@@ -101,6 +135,84 @@ pub fn eigh(a: &Mat) -> Result<EigH, LinalgError> {
 ///
 /// Same as [`eigh`].
 pub fn eigh_into(a: &Mat, out: &mut EigH, ws: &mut EighWorkspace) -> Result<(), LinalgError> {
+    let scale = validate(a)?;
+    let n = a.rows();
+    ws.m.copy_from(a);
+    ws.v.set_identity(n);
+
+    // Absolute convergence threshold tied to the matrix scale.
+    let tol = 1e-14 * scale.max(ws.m.frobenius_norm());
+    jacobi(ws, tol, MAX_SWEEPS)?;
+    sorted_into(ws, out);
+    Ok(())
+}
+
+/// [`eigh_into`] warm-started from the eigenbasis already held in
+/// `out.vectors`.
+///
+/// With `B = out.vectors`, Jacobi diagonalizes `B†·A·B` (one fused
+/// [`Mat::rotate_into`]) to the same `1e-14·scale` tolerance as the cold
+/// solve, and `out` receives the eigenvalues in ascending order and the
+/// eigenvectors `B·V_jacobi`. When `B` already nearly diagonalizes `A` —
+/// the eigenbasis of a slightly different matrix — this takes one or two
+/// sweeps instead of a cold run. The result is an eigendecomposition of
+/// `A` to the same tolerance, but not bit-identical to [`eigh_into`]:
+/// rounding differs, and so may the column phases and the basis chosen
+/// inside degenerate eigenspaces.
+///
+/// Falls back to the cold [`eigh_into`] when `out.vectors` is not a
+/// square matrix of `A`'s dimension (a fresh `EigH`, or one left from a
+/// problem of another size), and when the seeded sweeps fail to
+/// converge. `B` must be unitary; a debug assertion checks it. No
+/// allocation once `out` and `ws` are warm.
+///
+/// On error `out` is left untouched.
+///
+/// # Errors
+///
+/// Same as [`eigh`].
+pub fn eigh_seeded_into(
+    a: &Mat,
+    out: &mut EigH,
+    ws: &mut EighWorkspace,
+) -> Result<(), LinalgError> {
+    seeded_with_budget(a, out, ws, MAX_SWEEPS)
+}
+
+/// [`eigh_seeded_into`] with an explicit sweep budget for the seeded
+/// attempt (tests force the non-convergence fallback through it).
+fn seeded_with_budget(
+    a: &Mat,
+    out: &mut EigH,
+    ws: &mut EighWorkspace,
+    max_sweeps: usize,
+) -> Result<(), LinalgError> {
+    let scale = validate(a)?;
+    let n = a.rows();
+    if out.vectors.rows() != n || out.vectors.cols() != n {
+        return eigh_into(a, out, ws);
+    }
+    debug_assert!(
+        unitarity_deviation(&out.vectors, &mut ws.scratch) <= 1e-8,
+        "eigh_seeded_into: seed basis is not unitary"
+    );
+    out.vectors.rotate_into(a, &mut ws.scratch, &mut ws.m);
+    ws.v.set_identity(n);
+
+    let tol = 1e-14 * scale.max(a.frobenius_norm());
+    if jacobi(ws, tol, max_sweeps).is_err() {
+        return eigh_into(a, out, ws);
+    }
+    // Eigenvectors of A are the seed basis times the Jacobi rotations.
+    out.vectors.matmul_into(&ws.v, &mut ws.scratch);
+    std::mem::swap(&mut ws.v, &mut ws.scratch);
+    sorted_into(ws, out);
+    Ok(())
+}
+
+/// The input checks shared by both entry points; returns the matrix
+/// scale `max(max|A_ij|, 1)`.
+fn validate(a: &Mat) -> Result<f64, LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare {
             rows: a.rows(),
@@ -114,17 +226,17 @@ pub fn eigh_into(a: &Mat, out: &mut EigH, ws: &mut EighWorkspace) -> Result<(), 
     if hermitian_deviation(a) > 1e-9 * scale {
         return Err(LinalgError::NotHermitian);
     }
-    let n = a.rows();
-    ws.m.copy_from(a);
-    ws.v.set_identity(n);
+    Ok(scale)
+}
 
-    // Absolute convergence threshold tied to the matrix scale.
-    let tol = 1e-14 * scale.max(ws.m.frobenius_norm());
-
-    for _sweep in 0..MAX_SWEEPS {
+/// Cyclic Jacobi sweeps over `ws.m`, accumulating into `ws.v`, until the
+/// off-diagonal norm falls to `tol`. Records the sweep count in `ws`.
+fn jacobi(ws: &mut EighWorkspace, tol: f64, max_sweeps: usize) -> Result<(), LinalgError> {
+    let n = ws.m.rows();
+    for sweep in 0..max_sweeps {
         let off = off_diagonal_norm(&ws.m);
         if off <= tol {
-            sorted_into(ws, out);
+            ws.sweeps = sweep;
             return Ok(());
         }
         for p in 0..n {
@@ -135,13 +247,28 @@ pub fn eigh_into(a: &Mat, out: &mut EigH, ws: &mut EighWorkspace) -> Result<(), 
     }
     let off = off_diagonal_norm(&ws.m);
     if off <= tol * 100.0 {
-        sorted_into(ws, out);
+        ws.sweeps = max_sweeps;
         return Ok(());
     }
     Err(LinalgError::NoConvergence {
         what: "jacobi eigh",
-        iters: MAX_SWEEPS,
+        iters: max_sweeps,
     })
+}
+
+/// `max |(B†·B − I)_ij|`, through a caller-owned product buffer so the
+/// debug check allocates nothing either.
+fn unitarity_deviation(b: &Mat, scratch: &mut Mat) -> f64 {
+    b.dagger_matmul_into(b, scratch);
+    let n = b.cols();
+    let mut dev = 0.0f64;
+    for i in 0..n {
+        for j in 0..n {
+            let target = if i == j { 1.0 } else { 0.0 };
+            dev = dev.max((scratch[(i, j)] - C64::real(target)).abs());
+        }
+    }
+    dev
 }
 
 /// `max |A[i,j] − conj(A[j,i])|` — the same deviation
@@ -429,6 +556,155 @@ mod tests {
         eigh_into(&h, &mut b, &mut ws).unwrap();
         assert_eq!(a.vectors, b.vectors);
         assert_eq!(a.values, b.values);
+    }
+
+    /// A dense Hermitian test matrix, deterministic in `(n, salt)`.
+    fn hermitian(n: usize, salt: usize) -> Mat {
+        let g = Mat::from_fn(n, n, |i, j| {
+            C64::new(
+                ((i * 31 + j * 17 + salt) % 13) as f64 / 13.0 - 0.5,
+                ((i * 7 + j * 29 + 3 * salt) % 11) as f64 / 11.0 - 0.5,
+            )
+        });
+        &g + &g.dagger()
+    }
+
+    fn empty() -> EigH {
+        EigH {
+            values: Vec::new(),
+            vectors: Mat::zeros(0, 0),
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn max_value_diff(a: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(a.len(), b.len());
+        a.iter()
+            .zip(b)
+            .map(|(x, y)| (x - y).abs())
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn seeded_solve_from_a_nearby_basis_matches_cold_in_fewer_sweeps() {
+        for n in [2, 4, 8, 16] {
+            let h0 = hermitian(n, 1);
+            // A GRAPE-step-sized move of the matrix.
+            let h1 = &h0 + &hermitian(n, 5).scale_re(1e-3);
+            let mut ws = EighWorkspace::new();
+            let mut cold = empty();
+            eigh_into(&h1, &mut cold, &mut ws).unwrap();
+            let cold_sweeps = ws.sweeps();
+
+            let mut warm = eigh(&h0).unwrap();
+            eigh_seeded_into(&h1, &mut warm, &mut ws).unwrap();
+            // One rotation diagonalizes a 2×2 exactly, cold or seeded.
+            assert!(
+                ws.sweeps() < cold_sweeps || (n == 2 && ws.sweeps() == 1),
+                "dim {n}: seeded {} vs cold {cold_sweeps} sweeps",
+                ws.sweeps()
+            );
+            assert!(max_value_diff(&warm.values, &cold.values) < 1e-12);
+            assert!(warm.vectors.is_unitary(1e-12));
+            assert!(reconstruct(&warm).approx_eq(&h1, 1e-12));
+        }
+    }
+
+    #[test]
+    fn wrong_shape_seed_falls_back_to_the_cold_solve() {
+        let h = hermitian(4, 2);
+        let cold = eigh(&h).unwrap();
+        // A fresh output and one left from a smaller problem.
+        let mut stale = EigH {
+            values: vec![0.0; 3],
+            vectors: Mat::identity(3),
+        };
+        let mut rect = EigH {
+            values: Vec::new(),
+            vectors: Mat::zeros(4, 2),
+        };
+        for out in [&mut empty(), &mut stale, &mut rect] {
+            eigh_seeded_into(&h, out, &mut EighWorkspace::new()).unwrap();
+            assert!(max_value_diff(&out.values, &cold.values) < 1e-12);
+            assert_eq!(bits(&out.values), bits(&cold.values));
+            assert_eq!(out.vectors, cold.vectors);
+        }
+    }
+
+    #[test]
+    fn non_converging_seeded_solve_falls_back_to_the_cold_solve() {
+        let h = hermitian(6, 3);
+        let cold = eigh(&h).unwrap();
+        let mut ws = EighWorkspace::new();
+        // The identity seed leaves all of `h`'s off-diagonal mass, so a
+        // zero-sweep budget cannot converge.
+        let mut out = EigH {
+            values: vec![0.0; 6],
+            vectors: Mat::identity(6),
+        };
+        seeded_with_budget(&h, &mut out, &mut ws, 0).unwrap();
+        assert!(max_value_diff(&out.values, &cold.values) < 1e-12);
+        assert_eq!(bits(&out.values), bits(&cold.values));
+        assert_eq!(out.vectors, cold.vectors);
+        assert!(ws.sweeps() > 0, "sweep count is the cold fallback's");
+    }
+
+    #[test]
+    fn seeded_solve_validates_input_like_the_cold_solve() {
+        let seed = || EigH {
+            values: vec![0.0; 2],
+            vectors: Mat::identity(2),
+        };
+        let mut ws = EighWorkspace::new();
+        let mut out = seed();
+        let upper = Mat::from_reals(&[0.0, 1.0, 0.0, 0.0]);
+        assert!(matches!(
+            eigh_seeded_into(&upper, &mut out, &mut ws),
+            Err(LinalgError::NotHermitian)
+        ));
+        let nan = Mat::from_reals(&[f64::NAN, 0.0, 0.0, 1.0]);
+        assert!(matches!(
+            eigh_seeded_into(&nan, &mut out, &mut ws),
+            Err(LinalgError::NonFinite)
+        ));
+        assert!(matches!(
+            eigh_seeded_into(&Mat::zeros(2, 3), &mut out, &mut ws),
+            Err(LinalgError::NotSquare { rows: 2, cols: 3 })
+        ));
+        // Errors leave the output untouched.
+        assert_eq!(out.vectors, seed().vectors);
+        assert_eq!(out.values, seed().values);
+    }
+
+    #[test]
+    fn seeded_solve_of_a_degenerate_spectrum_needs_no_sweep() {
+        // Every unitary diagonalizes a multiple of the identity, so any
+        // seed is already converged (the columns may still be reordered
+        // by rounding-level differences on the diagonal).
+        let h = Mat::identity(4).scale_re(2.0);
+        let mut out = eigh(&hermitian(4, 7)).unwrap();
+        let mut ws = EighWorkspace::new();
+        eigh_seeded_into(&h, &mut out, &mut ws).unwrap();
+        assert_eq!(ws.sweeps(), 0);
+        for v in &out.values {
+            assert!((v - 2.0).abs() < 1e-13);
+        }
+        assert!(out.vectors.is_unitary(1e-12));
+        assert!(reconstruct(&out).approx_eq(&h, 1e-12));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "seed basis is not unitary")]
+    fn non_unitary_seed_trips_the_debug_assertion() {
+        let mut out = EigH {
+            values: vec![0.0; 2],
+            vectors: Mat::identity(2).scale_re(2.0),
+        };
+        let _ = eigh_seeded_into(&hermitian(2, 1), &mut out, &mut EighWorkspace::new());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   exponential (Higham 2005) and the Hamiltonian propagator
 //!   `exp(−i·t·H)`; [`expm_frechet`] — exact directional derivatives.
 //! - [`Lu`] / [`solve`] / [`inverse`] — LU with partial pivoting.
-//! - [`eigh`] — complex Hermitian Jacobi eigensolver; [`funm_hermitian`],
+//! - [`eigh`] — complex Hermitian Jacobi eigensolver, with a seeded
+//!   warm-start entry [`eigh_seeded_into`]; [`funm_hermitian`],
 //!   [`expm_i_hermitian`] spectral matrix functions.
 //! - [`sqrtm_psd`] / [`sqrtm_db`] — matrix square roots (spectral and
 //!   Denman–Beavers), used by the paper's Uhlmann-fidelity similarity.
@@ -55,7 +56,9 @@ pub use canon::{
     phase_invariant_infidelity, quantized_bytes,
 };
 pub use complex::{C64, I, ONE, ZERO};
-pub use eig::{eigh, eigh_into, expm_i_hermitian, funm_hermitian, EigH, EighWorkspace};
+pub use eig::{
+    eigh, eigh_into, eigh_seeded_into, expm_i_hermitian, funm_hermitian, EigH, EighWorkspace,
+};
 pub use error::LinalgError;
 pub use expm::{expm, expm_frechet, expm_i};
 pub use fingerprint::{diag_abs_profile, row_peak_profile, trace_moments_abs};
