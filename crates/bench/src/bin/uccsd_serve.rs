@@ -22,9 +22,11 @@
 //!   the in-process baseline across both client counts. The CI
 //!   `uccsd-smoke` gate.
 //!
-//! Both modes write per-serving rows to `results/uccsd_serve.csv` and
-//! the density summary to `BENCH_uccsd.json` at the working-directory
-//! root.
+//! Both modes write per-serving rows to `results/uccsd_serve.csv`. The
+//! sweep writes its density summary to `BENCH_uccsd.json` at the
+//! working-directory root, the committed trajectory; `--check` writes its
+//! single-density summary (plus the daemon byte-identity flags) to
+//! `results/uccsd_check.json` and leaves `BENCH_uccsd.json` to the sweep.
 
 use std::sync::Arc;
 
@@ -305,7 +307,8 @@ fn daemon_replay(
     (rows, mismatches, session, stats.library)
 }
 
-fn write_bench_json(densities: &[DensityStats], daemon: Option<JsonValue>) {
+/// Writes the density summary to `path`.
+fn write_summary_json(path: &str, densities: &[DensityStats], daemon: Option<JsonValue>) {
     let mut fields = vec![
         (
             "workload".into(),
@@ -322,7 +325,10 @@ fn write_bench_json(densities: &[DensityStats], daemon: Option<JsonValue>) {
         fields.push(("daemon".into(), daemon));
     }
     let text = JsonValue::Object(fields).to_pretty() + "\n";
-    std::fs::write("BENCH_uccsd.json", text).ok();
+    if let Some(dir) = std::path::Path::new(path).parent() {
+        std::fs::create_dir_all(dir).ok();
+    }
+    std::fs::write(path, text).ok();
 }
 
 fn write_table(rows: &[Row]) {
@@ -386,7 +392,7 @@ fn run_sweep() {
     println!();
     let cells: Vec<Vec<String>> = summaries.iter().map(DensityStats::summary_cells).collect();
     print_table(&SUMMARY_HEADER, &cells);
-    write_bench_json(&summaries, None);
+    write_summary_json("BENCH_uccsd.json", &summaries, None);
     println!("\nwrote results/uccsd_serve.csv and BENCH_uccsd.json");
 }
 
@@ -453,7 +459,8 @@ fn run_check() {
         stats.mean_scratch_iterations(),
     );
 
-    write_bench_json(
+    write_summary_json(
+        "results/uccsd_check.json",
         &[DensityStats {
             density: "default".into(),
             grid_points: DEFAULT_GRID_POINTS,
@@ -503,4 +510,5 @@ fn run_check() {
         "\nOK: warm share {warm_share:.3} >= {CHECK_WARM_SHARE}, warm cheaper than scratch, \
          daemon byte-identical across client counts {CLIENT_COUNTS:?}"
     );
+    println!("wrote results/uccsd_serve.csv and results/uccsd_check.json");
 }

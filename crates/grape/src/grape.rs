@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 use accqoc_hw::ControlModel;
 use accqoc_linalg::{eigh_into, eigh_seeded_into, expm_frechet, expm_i, EigH, Mat, C64, ZERO};
 
-use crate::optimizer::{OptimizerKind, StopCriteria};
+use crate::optimizer::{Objective, OptimizerKind, StopCriteria};
 use crate::propagate::{backward_states_into, forward_states_into};
 use crate::pulse::Pulse;
 use crate::workspace::Workspace;
@@ -133,8 +133,12 @@ pub struct GrapeOutcome {
     pub infidelity: f64,
     /// Optimizer iterations (the paper's compile-cost metric, §VI-G).
     pub iterations: usize,
-    /// Objective evaluations, including line-search probes.
+    /// Objective evaluations (cost phases), including line-search probes.
     pub fn_evals: usize,
+    /// Gradient phases run: the evaluations whose gradient the optimizer
+    /// read. A line-search trial rejected on its cost skips its gradient,
+    /// so with L-BFGS this is well below `fn_evals`.
+    pub grad_evals: usize,
     /// Whether the fidelity target was met.
     pub converged: bool,
     /// Cost after each iteration.
@@ -165,7 +169,9 @@ pub fn solve(problem: &GrapeProblem<'_>) -> GrapeOutcome {
 ///
 /// On the spectral gradient path every objective evaluation after the
 /// first seeds its per-slice eigensolves from the previous evaluation's
-/// eigenbases (see [`Workspace`]). The seeds are scoped to this call, so
+/// eigenbases (see [`Workspace`]). Each evaluation is a cost phase, and
+/// the gradient phase runs only where the optimizer reads the gradient
+/// (see [`SolveScope`]). The seeds are scoped to this call, so
 /// the outcome depends only on `problem`, never on what `ws` was used
 /// for before.
 ///
@@ -190,38 +196,18 @@ pub fn solve_with(problem: &GrapeProblem<'_>, ws: &mut Workspace) -> GrapeOutcom
             infidelity: inf,
             iterations: 0,
             fn_evals: 1,
+            grad_evals: 0,
             converged: inf <= problem.options.stop.target_cost,
             history: vec![],
         };
     }
 
     let x0 = initial_params(problem, n_ctrl, n_steps, dt);
-    let mut scope = SolveScope::new(ws);
-
-    let mut evals = 0usize;
-    let smoothness = problem.options.smoothness_weight;
-    let mut objective = |params: &[f64]| -> (f64, Vec<f64>) {
-        evals += 1;
-        // One gradient vector per evaluation: the optimizer's line-search
-        // state owns its gradients, so this allocation is part of its
-        // API. Everything below it reuses workspace buffers.
-        let mut grad = Vec::with_capacity(n_ctrl * n_steps);
-        let mut cost = scope.cost_and_gradient_into(
-            model,
-            problem.target,
-            params,
-            n_steps,
-            problem.options.gradient,
-            &mut grad,
-        );
-        if smoothness > 0.0 {
-            let (pc, pg) = crate::analysis::smoothness_penalty(params, n_ctrl, n_steps, smoothness);
-            cost += pc;
-            for (g, p) in grad.iter_mut().zip(&pg) {
-                *g += p;
-            }
-        }
-        (cost, grad)
+    let mut objective = GrapeObjective {
+        problem,
+        scope: SolveScope::new(ws),
+        fn_evals: 0,
+        grad_evals: 0,
     };
 
     let bounds: Vec<f64> = model.channels().iter().map(|c| c.max_amp).collect();
@@ -235,6 +221,7 @@ pub fn solve_with(problem: &GrapeProblem<'_>, ws: &mut Workspace) -> GrapeOutcom
     let optimizer = problem.options.optimizer.build();
     let result = optimizer.minimize(&mut objective, Some(&project), x0, &problem.options.stop);
 
+    let smoothness = problem.options.smoothness_weight;
     let pulse = Pulse::from_params(&result.x, n_ctrl, n_steps, dt);
     // With a penalty active, the optimizer's cost is regularized; report
     // the raw gate infidelity (and judge convergence on it).
@@ -249,9 +236,59 @@ pub fn solve_with(problem: &GrapeProblem<'_>, ws: &mut Workspace) -> GrapeOutcom
         pulse,
         infidelity: raw_infidelity,
         iterations: result.iterations,
-        fn_evals: evals,
+        fn_evals: objective.fn_evals,
+        grad_evals: objective.grad_evals,
         converged,
         history: result.history,
+    }
+}
+
+/// The GRAPE objective one solve hands its optimizer: the cost phase
+/// for every evaluated point, the gradient phase only when the optimizer
+/// asks for it, both through the solve's [`SolveScope`]. The smoothness
+/// penalty, when enabled, is added to each phase.
+struct GrapeObjective<'p, 'w> {
+    problem: &'p GrapeProblem<'p>,
+    scope: SolveScope<'w>,
+    fn_evals: usize,
+    grad_evals: usize,
+}
+
+impl GrapeObjective<'_, '_> {
+    fn smoothness_penalty(&self, params: &[f64]) -> Option<(f64, Vec<f64>)> {
+        let weight = self.problem.options.smoothness_weight;
+        (weight > 0.0).then(|| {
+            let n_ctrl = self.problem.model.n_controls();
+            crate::analysis::smoothness_penalty(params, n_ctrl, self.problem.n_steps, weight)
+        })
+    }
+}
+
+impl Objective for GrapeObjective<'_, '_> {
+    fn cost(&mut self, x: &[f64]) -> f64 {
+        self.fn_evals += 1;
+        let p = self.problem;
+        let cost = self
+            .scope
+            .cost(p.model, p.target, x, p.n_steps, p.options.gradient);
+        match self.smoothness_penalty(x) {
+            Some((penalty, _)) => cost + penalty,
+            None => cost,
+        }
+    }
+
+    fn gradient(&mut self) -> Vec<f64> {
+        self.grad_evals += 1;
+        // One vector per gradient: the optimizer's line-search state owns
+        // its gradients, so this allocation is part of its API.
+        let mut grad = Vec::with_capacity(self.scope.ws.params.len());
+        self.scope.gradient_into(self.problem.model, &mut grad);
+        if let Some((_, penalty)) = self.smoothness_penalty(&self.scope.ws.params) {
+            for (g, p) in grad.iter_mut().zip(&penalty) {
+                *g += p;
+            }
+        }
+        grad
     }
 }
 
@@ -302,12 +339,11 @@ fn cost_and_gradient(
 }
 
 /// Computes the GRAPE cost for the flat parameter vector, writing the
-/// gradient into `grad` and reusing the workspace buffers.
+/// gradient into `grad` and reusing the workspace buffers: a cold cost
+/// phase followed by the gradient phase (see [`SolveScope`]).
 ///
-/// This is the innermost function of the entire serving stack — every
-/// optimizer iteration and every line-search probe lands here — and on
-/// the default spectral path it performs **zero heap allocations** once
-/// `ws` and `grad` have warmed to the problem size (asserted by a
+/// On the default spectral path this performs **zero heap allocations**
+/// once `ws` and `grad` have warmed to the problem size (asserted by a
 /// counting-allocator test). The dense products dispatch to the
 /// register-blocked kernel layer of `accqoc-linalg`; the `grape_kernels`
 /// bench harness tracks its per-call cost in `BENCH_grape.json`.
@@ -336,12 +372,24 @@ pub fn cost_and_gradient_into(
     ws: &mut Workspace,
     grad: &mut Vec<f64>,
 ) -> f64 {
-    evaluate(model, target, params, n_steps, method, false, ws, grad)
+    let cost = cost_phase(model, target, params, n_steps, method, false, ws);
+    gradient_phase(model, ws, grad);
+    cost
 }
 
 /// The objective evaluations of one solve: a borrow of a [`Workspace`]
 /// whose spectral eigensolves seed from the previous evaluation made
 /// through the same scope.
+///
+/// An evaluation has two phases. [`cost`](SolveScope::cost) runs the
+/// per-slice eigensolves, the slice propagators, the forward chain and
+/// the overlap φ, and returns the cost; the workspace keeps that state.
+/// [`gradient_into`](SolveScope::gradient_into) then runs the backward
+/// chain and the gradient loop at the same point. [`solve_with`] runs
+/// the gradient phase only for the points its optimizer reads a gradient
+/// at, which for L-BFGS skips it on most line-search trials. Every cost
+/// phase runs the same seeded eigensolves whether or not its gradient
+/// phase follows, so skipping one changes no later result.
 ///
 /// [`solve_with`] runs its whole optimizer loop in one scope. Opening a
 /// scope discards any eigenbasis an earlier scope left in the workspace,
@@ -366,14 +414,15 @@ pub fn cost_and_gradient_into(
 /// let (mut g, mut g_cold) = (Vec::new(), Vec::new());
 /// for step in 0..3 {
 ///     params[0] += 1e-3 * step as f64;
-///     let warm = scope.cost_and_gradient_into(&model, &x, &params, 6, GradientMethod::Spectral, &mut g);
+///     let warm = scope.cost(&model, &x, &params, 6, GradientMethod::Spectral);
+///     scope.gradient_into(&model, &mut g);
 ///     let cold = cost_and_gradient_into(&model, &x, &params, 6, GradientMethod::Spectral, &mut cold_ws, &mut g_cold);
 ///     assert!((warm - cold).abs() < 1e-12);
 /// }
 /// ```
 #[derive(Debug)]
 pub struct SolveScope<'a> {
-    ws: &'a mut Workspace,
+    pub(crate) ws: &'a mut Workspace,
 }
 
 impl<'a> SolveScope<'a> {
@@ -383,9 +432,40 @@ impl<'a> SolveScope<'a> {
         Self { ws }
     }
 
-    /// [`cost_and_gradient_into`], with the spectral eigensolves seeded
-    /// from this scope's previous spectral evaluation when there is one.
-    /// No allocation once the workspace and `grad` are warm.
+    /// The cost phase: returns the infidelity at `params`, with the
+    /// spectral eigensolves seeded from this scope's previous spectral
+    /// evaluation when there is one, and makes `params` the point a
+    /// following [`gradient_into`](SolveScope::gradient_into)
+    /// differentiates. No allocation once the workspace is warm.
+    ///
+    /// # Panics
+    ///
+    /// Same as [`cost_and_gradient_into`].
+    pub fn cost(
+        &mut self,
+        model: &ControlModel,
+        target: &Mat,
+        params: &[f64],
+        n_steps: usize,
+        method: GradientMethod,
+    ) -> f64 {
+        cost_phase(model, target, params, n_steps, method, true, self.ws)
+    }
+
+    /// The gradient phase: writes the gradient at the point of the last
+    /// [`cost`](SolveScope::cost) into `grad` (cleared and resized like
+    /// [`cost_and_gradient_into`]'s). `model` must be the one that cost
+    /// phase saw. No allocation once the workspace and `grad` are warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no cost phase has run on the workspace.
+    pub fn gradient_into(&mut self, model: &ControlModel, grad: &mut Vec<f64>) {
+        gradient_phase(model, self.ws, grad);
+    }
+
+    /// [`cost`](SolveScope::cost) followed by
+    /// [`gradient_into`](SolveScope::gradient_into).
     ///
     /// # Panics
     ///
@@ -399,16 +479,19 @@ impl<'a> SolveScope<'a> {
         method: GradientMethod,
         grad: &mut Vec<f64>,
     ) -> f64 {
-        evaluate(model, target, params, n_steps, method, true, self.ws, grad)
+        let cost = self.cost(model, target, params, n_steps, method);
+        self.gradient_into(model, grad);
+        cost
     }
 }
 
-/// The cost-and-gradient evaluation behind both entry points. With
+/// The cost phase behind every evaluation: per-slice propagators (for
+/// the spectral method, from the per-slice eigensolves), the forward
+/// chain, `B_N = U_T†` and φ, kept in `ws` for [`gradient_phase`]. With
 /// `warm` set, the spectral eigensolves are seeded from `ws.eigs` when
 /// `ws.eigs_seedable` says they hold the enclosing scope's previous
 /// evaluation, and the flag is raised afterwards.
-#[allow(clippy::too_many_arguments)]
-fn evaluate(
+fn cost_phase(
     model: &ControlModel,
     target: &Mat,
     params: &[f64],
@@ -416,19 +499,20 @@ fn evaluate(
     method: GradientMethod,
     warm: bool,
     ws: &mut Workspace,
-    grad: &mut Vec<f64>,
 ) -> f64 {
     let dim = model.dim();
     let d = dim as f64;
-    let n_ctrl = model.n_controls();
     let dt = model.dt_ns();
-    ws.ensure(dim, n_ctrl, n_steps);
+    ws.ensure(dim, model.n_controls(), n_steps);
+    ws.params.clear();
+    ws.params.extend_from_slice(params);
+    ws.costed = Some((n_steps, method));
 
     // Step propagators. For the spectral method the eigendecompositions
     // double as the propagators; the other methods exponentiate directly.
     let seeded = warm && ws.eigs_seedable;
     for k in 0..n_steps {
-        ws.load_amps(params, n_steps, k);
+        ws.load_amps(n_steps, k);
         model.hamiltonian_into(&ws.amps, &mut ws.h);
         if method == GradientMethod::Spectral {
             let eig = &mut ws.eigs[k];
@@ -449,11 +533,25 @@ fn evaluate(
         ws.eigs_seedable = true;
     }
     forward_states_into(ws, dim, n_steps);
-    backward_states_into(ws, target, n_steps);
+    target.dagger_into(&mut ws.bwd[n_steps]);
 
     // φ = Tr(U_T† X_N)/d; cost = 1 − |φ|².
-    let phi = ws.bwd[n_steps].matmul_trace(&ws.fwd[n_steps]) / C64::real(d);
-    let cost = (1.0 - phi.norm_sqr()).max(0.0);
+    ws.phi = ws.bwd[n_steps].matmul_trace(&ws.fwd[n_steps]) / C64::real(d);
+    (1.0 - ws.phi.norm_sqr()).max(0.0)
+}
+
+/// The gradient phase: the backward chain and the gradient loop at the
+/// point of the last [`cost_phase`] on `ws`, written into `grad`.
+fn gradient_phase(model: &ControlModel, ws: &mut Workspace, grad: &mut Vec<f64>) {
+    let (n_steps, method) = ws
+        .costed
+        .expect("a gradient phase follows a cost phase on the same workspace");
+    let dim = model.dim();
+    let d = dim as f64;
+    let n_ctrl = model.n_controls();
+    let dt = model.dt_ns();
+    let phi = ws.phi;
+    backward_states_into(ws, n_steps);
 
     grad.clear();
     grad.resize(n_ctrl * n_steps, 0.0);
@@ -501,7 +599,7 @@ fn evaluate(
         }
         GradientMethod::Exact => {
             for k in 0..n_steps {
-                ws.load_amps(params, n_steps, k);
+                ws.load_amps(n_steps, k);
                 model.hamiltonian_into(&ws.amps, &mut ws.h);
                 let a = ws.h.scale(C64::imag(-dt));
                 for (j, ch) in model.channels().iter().enumerate() {
@@ -519,7 +617,6 @@ fn evaluate(
             }
         }
     }
-    cost
 }
 
 /// Slice phases `e^{−iΔtλ_a}`, computed once per slice and shared by
@@ -776,6 +873,15 @@ mod tests {
             out.infidelity
         );
         assert!(out.infidelity > 1e-3);
+        // Pinned trial count: skipping the gradients of rejected
+        // line-search trials must not move the trial sequence.
+        assert_eq!((out.iterations, out.fn_evals), (3, 31));
+        assert!(
+            out.grad_evals < out.fn_evals,
+            "{} gradient phases for {} evaluations",
+            out.grad_evals,
+            out.fn_evals
+        );
     }
 
     #[test]

@@ -47,7 +47,9 @@ pub use grape::{
     cost_and_gradient_into, infidelity, solve, solve_with, GradientMethod, GrapeOptions,
     GrapeOutcome, GrapeProblem, InitStrategy, SolveScope,
 };
-pub use optimizer::{Adam, Lbfgs, Momentum, OptimResult, Optimizer, OptimizerKind, StopCriteria};
+pub use optimizer::{
+    Adam, Eager, Lbfgs, Momentum, Objective, OptimResult, Optimizer, OptimizerKind, StopCriteria,
+};
 pub use propagate::{
     backward_states, forward_states, realized_infidelity, step_unitaries, total_unitary,
 };

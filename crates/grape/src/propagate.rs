@@ -66,10 +66,10 @@ pub(crate) fn forward_states_into(ws: &mut crate::Workspace, dim: usize, n_steps
     }
 }
 
-/// Backward states written into `ws.bwd` (`B_N = U_target† … B_0`),
-/// reading the first `n_steps` propagators from `ws.step_us`.
-pub(crate) fn backward_states_into(ws: &mut crate::Workspace, target: &Mat, n_steps: usize) {
-    target.dagger_into(&mut ws.bwd[n_steps]);
+/// Backward states `B_{N−1} … B_0` written into `ws.bwd`, reading the
+/// first `n_steps` propagators from `ws.step_us` and `B_N = U_target†`
+/// from `ws.bwd[n_steps]`, which the cost phase has already set.
+pub(crate) fn backward_states_into(ws: &mut crate::Workspace, n_steps: usize) {
     for k in (0..n_steps).rev() {
         let (head, tail) = ws.bwd.split_at_mut(k + 1);
         tail[0].matmul_into(&ws.step_us[k], &mut head[k]);

@@ -10,6 +10,7 @@ use accqoc_hw::ControlModel;
 use accqoc_linalg::{eigh, Mat, C64};
 
 use crate::grape::{krein_weights, spectral_propagator, GrapeOptions, InitStrategy};
+use crate::optimizer::Eager;
 use crate::propagate::step_unitaries;
 use crate::pulse::Pulse;
 
@@ -121,7 +122,7 @@ pub fn solve_state_transfer(problem: &StateTransferProblem<'_>) -> StateTransfer
         InitStrategy::Warm(p) => p.resampled(n_steps).to_params(),
     };
 
-    let mut objective = |params: &[f64]| -> (f64, Vec<f64>) {
+    let objective = |params: &[f64]| -> (f64, Vec<f64>) {
         state_cost_and_gradient(model, &problem.initial, &problem.target, params, n_steps)
     };
     let bounds: Vec<f64> = model.channels().iter().map(|c| c.max_amp).collect();
@@ -132,7 +133,12 @@ pub fn solve_state_transfer(problem: &StateTransferProblem<'_>) -> StateTransfer
         }
     };
     let optimizer = problem.options.optimizer.build();
-    let result = optimizer.minimize(&mut objective, Some(&project), x0, &problem.options.stop);
+    let result = optimizer.minimize(
+        &mut Eager::new(objective),
+        Some(&project),
+        x0,
+        &problem.options.stop,
+    );
 
     StateTransferOutcome {
         pulse: Pulse::from_params(&result.x, n_ctrl, n_steps, dt),

@@ -15,12 +15,16 @@
 //! [`find_minimal_latency`](crate::find_minimal_latency) create a
 //! throwaway workspace internally and produce bit-identical results.
 //!
-//! The workspace also carries one piece of state *within* a solve: the
-//! per-slice eigenbases of the previous objective evaluation, which seed
-//! the next evaluation's eigensolves. That state never outlives the
-//! solve (see [`Workspace`]).
+//! The workspace also carries state *within* a solve: the per-slice
+//! eigenbases of the previous objective evaluation, which seed the next
+//! evaluation's eigensolves, and the cost phase's propagators, forward
+//! states and overlap φ, which a following gradient phase at the same
+//! point differentiates. That state never outlives the solve (see
+//! [`Workspace`]).
 
 use accqoc_linalg::{EigH, EighWorkspace, Mat, C64, ZERO};
+
+use crate::GradientMethod;
 
 /// Per-thread scratch space for GRAPE objective evaluations.
 ///
@@ -58,6 +62,14 @@ use accqoc_linalg::{EigH, EighWorkspace, Mat, C64, ZERO};
 /// ```
 #[derive(Debug)]
 pub struct Workspace {
+    /// Parameters of the last cost phase: the point a gradient phase
+    /// differentiates.
+    pub(crate) params: Vec<f64>,
+    /// Slice count and gradient method of the last cost phase; `None`
+    /// until one has run.
+    pub(crate) costed: Option<(usize, GradientMethod)>,
+    /// Overlap `φ = Tr(U_T†·X_N)/d` of the last cost phase.
+    pub(crate) phi: C64,
     /// Step propagators `U_1 … U_N`.
     pub(crate) step_us: Vec<Mat>,
     /// Forward states `X_0 … X_N`.
@@ -96,6 +108,9 @@ impl Workspace {
     /// Creates an empty workspace (buffers grow on first use).
     pub fn new() -> Self {
         Self {
+            params: Vec::new(),
+            costed: None,
+            phi: ZERO,
             step_us: Vec::new(),
             fwd: Vec::new(),
             bwd: Vec::new(),
@@ -139,10 +154,10 @@ impl Workspace {
     }
 
     /// Copies slice `k`'s amplitudes out of the flat channel-major
-    /// parameter vector into the `amps` scratch.
-    pub(crate) fn load_amps(&mut self, params: &[f64], n_steps: usize, k: usize) {
+    /// `params` into the `amps` scratch.
+    pub(crate) fn load_amps(&mut self, n_steps: usize, k: usize) {
         for (j, a) in self.amps.iter_mut().enumerate() {
-            *a = params[j * n_steps + k];
+            *a = self.params[j * n_steps + k];
         }
     }
 }

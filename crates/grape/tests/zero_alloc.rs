@@ -1,8 +1,9 @@
 //! Counting-allocator proof of the workspace-reuse endgame: once the
 //! workspace and gradient buffers have warmed to the problem size, the
-//! default spectral `cost_and_gradient_into` — the innermost function of
-//! every optimizer iteration and every latency-search probe — performs
-//! **zero** heap allocations.
+//! default spectral `cost_and_gradient_into` performs **zero** heap
+//! allocations, and so does a warm cost-only evaluation inside a
+//! `SolveScope` — the path of every line-search trial rejected on its
+//! cost, which is most of them.
 //!
 //! This lives in its own test binary because it installs a process-wide
 //! `#[global_allocator]`, and it holds exactly one test so no sibling
@@ -11,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use accqoc_grape::{cost_and_gradient_into, GradientMethod, Workspace};
+use accqoc_grape::{cost_and_gradient_into, GradientMethod, SolveScope, Workspace};
 use accqoc_hw::ControlModel;
 use accqoc_linalg::{Mat, C64};
 
@@ -89,4 +90,25 @@ fn warm_spectral_cost_and_gradient_allocates_nothing() {
 
     assert_eq!(cost.to_bits(), warm_cost.to_bits(), "reuse moved bits");
     assert_eq!(allocs, 0, "warm spectral evaluation hit the allocator");
+
+    // The solver's two phases: seeded cost phases along a short path,
+    // the last one measured, with no gradient phase between trials.
+    let mut scope = SolveScope::new(&mut ws);
+    let mut trial = params.clone();
+    for step in 0..3 {
+        trial[step] += 1e-3;
+        scope.cost(&model, &target, &trial, n_steps, GradientMethod::Spectral);
+    }
+    trial[3] += 1e-3;
+    let before = ALLOCS.load(Ordering::SeqCst);
+    let cost_only = scope.cost(&model, &target, &trial, n_steps, GradientMethod::Spectral);
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(allocs, 0, "warm cost-only evaluation hit the allocator");
+
+    // Nor does the gradient phase that may follow it.
+    let before = ALLOCS.load(Ordering::SeqCst);
+    scope.gradient_into(&model, &mut grad);
+    let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    assert_eq!(allocs, 0, "warm gradient phase hit the allocator");
+    assert!(cost_only.is_finite() && grad.iter().all(|g| g.is_finite()));
 }
